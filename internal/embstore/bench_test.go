@@ -17,12 +17,17 @@ const (
 	benchDim  = 32
 )
 
+// benchRowReads copies rows out through RowInto into one reused buffer —
+// the nn gather path — so allocs/op is the store's own allocation per read.
 func benchRowReads(b *testing.B, st Store, next func() int) {
 	b.SetBytes(int64(st.Dim()) * 4)
+	b.ReportAllocs()
+	dst := make([]float32, st.Dim())
 	b.ResetTimer()
 	var sink float32
 	for i := 0; i < b.N; i++ {
-		sink += st.Row(next())[0]
+		st.RowInto(dst, next())
+		sink += dst[0]
 	}
 	_ = sink
 }
@@ -47,10 +52,26 @@ func BenchmarkRowReadCachedHotZipf(b *testing.B) {
 		b.Fatal(err)
 	}
 	next := zipfNext(benchRows)
+	dst := make([]float32, benchDim)
 	for i := 0; i < 1<<17; i++ { // warm the hot set
-		st.Row(next())
+		st.RowInto(dst, next())
 	}
 	benchRowReads(b, st, next)
+}
+
+// BenchmarkRowReadCachedMissUniform is the eviction path: uniform reads over
+// a table 1024x larger than the cache, so nearly every read misses, fills
+// from Synth and recycles the LRU victim's slot.
+func BenchmarkRowReadCachedMissUniform(b *testing.B) {
+	base, err := NewSynth(1, 0, benchRows, benchDim, Shard{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := NewCached(base, CacheConfig{Policy: CacheLRU, Rows: 1 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRowReads(b, st, uniformNext(benchRows))
 }
 
 func BenchmarkRowReadMappedColdUniform(b *testing.B) {

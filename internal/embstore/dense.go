@@ -56,6 +56,12 @@ func (d *Dense) Row(i int) []float32 {
 	return d.data[i*d.dim : (i+1)*d.dim]
 }
 
+// RowInto copies local row i into dst.
+func (d *Dense) RowInto(dst []float32, i int) {
+	d.bytesRead.Add(uint64(d.dim) * 4)
+	copy(dst[:d.dim], d.data[i*d.dim:(i+1)*d.dim])
+}
+
 // Stats reports bytes read from the materialized rows.
 func (d *Dense) Stats() Stats { return Stats{BytesRead: d.bytesRead.Load()} }
 

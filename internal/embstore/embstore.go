@@ -29,10 +29,15 @@
 // WriteFileStream) reproduces the classic zoo RNG stream draw-for-draw for
 // bit-exact parity with the in-memory default at small scale.
 //
-// Stores are safe for concurrent readers. Row slices returned by Dense and
-// Mapped alias backing storage and must not be written; Synth returns fresh
-// slices; Cached returns slices owned by the cache that stay valid after
-// eviction (the GC keeps them alive for the reader).
+// Read contract: stores are safe for concurrent readers, and the serving
+// path reads through RowInto, which copies the row into a buffer the caller
+// owns. Copy-out is what lets Cached keep its resident rows in one flat slab
+// per segment and reuse an evicted row's slot in place: no reader ever holds
+// a reference into the cache, so no row needs a heap object of its own to
+// outlive its eviction; a hit allocates nothing, and a miss only what the
+// backend's read does (Synth's per-row generator state). Row
+// remains for callers that want a slice: Dense and Mapped return read-only
+// views of their backing storage, Synth and Cached return fresh copies.
 package embstore
 
 import "fmt"
@@ -42,8 +47,8 @@ import "fmt"
 const EmbStddev = 0.05
 
 // Store is one embedding table's row storage. Implementations must support
-// concurrent Row calls; Row(i) requires 0 <= i < Rows() (callers — the nn
-// lookup paths — bounds-check first and report a typed error).
+// concurrent Row and RowInto calls; both require 0 <= i < Rows() (callers —
+// the nn lookup paths — bounds-check first and report a typed error).
 type Store interface {
 	// Rows is the number of rows this store serves. For a shard it is the
 	// shard's row count, not the full table's.
@@ -52,8 +57,14 @@ type Store interface {
 	Dim() int
 	// Row returns row i as a dim-wide float32 slice. The slice is read-only
 	// for the caller and valid at least until the next Row call from the
-	// same goroutine.
+	// same goroutine. It may allocate (Synth and Cached return copies).
 	Row(i int) []float32
+	// RowInto copies row i into dst[:Dim()] without allocating. This is the
+	// lookup path: the caller owns dst before and after, so a cache never
+	// lends out its own memory and can recycle an evicted row's storage at
+	// once. A cache serves hits by copying under its lock and fills misses
+	// from the backend into dst before copying dst into the cache.
+	RowInto(dst []float32, i int)
 	// Stats returns a snapshot of this store's counters.
 	Stats() Stats
 	// Close releases backing resources (file mappings). The store must not

@@ -418,3 +418,45 @@ func copyFile(t *testing.T, src, dst string) error {
 	}
 	return os.WriteFile(dst, b, 0o644)
 }
+
+// A byte budget whose row count times its suffix overflows int64 must be
+// rejected, not wrapped around to a small budget (2^34+1 GB used to parse
+// as 1 GB).
+func TestParseSpecRejectsCapacityOverflow(t *testing.T) {
+	for _, in := range []string{
+		"synth,cache=lru:17179869185GB",
+		"synth,cache=lru:9223372036854775807KB",
+		"synth,cache=lfu:8589934592GB",
+	} {
+		if sp, err := ParseSpec(in); err == nil {
+			t.Errorf("ParseSpec(%q) = %v, want an overflow error", in, sp)
+		}
+	}
+	if _, err := ParseSpec("synth,cache=lru:8589934591GB"); err != nil {
+		t.Errorf("largest representable GB budget rejected: %v", err)
+	}
+}
+
+// FuzzParseSpec: any accepted spec renders back to a string that parses to
+// the same spec, and no input panics.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"dense", "synth", "mmap:/data/t", "synth,cache=lru:200000", "mmap:/d,cache=lfu:64MB",
+		"dense,cache=lru:16KB", "synth,cache=lru:17179869185GB", "synth,cache=lru:1B", "mmap:a,b",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sp, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		rt, err := ParseSpec(sp.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v renders as %q, which fails to parse: %v", in, sp, sp.String(), err)
+		}
+		if rt != sp {
+			t.Fatalf("ParseSpec(%q) = %+v renders as %q, which parses to %+v", in, sp, sp.String(), rt)
+		}
+	})
+}

@@ -82,6 +82,12 @@ func (m *Mapped) Row(i int) []float32 {
 	return m.data[i*m.h.Dim : (i+1)*m.h.Dim]
 }
 
+// RowInto copies local row i out of the mapping into dst.
+func (m *Mapped) RowInto(dst []float32, i int) {
+	m.bytesRead.Add(uint64(m.h.Dim) * 4)
+	copy(dst[:m.h.Dim], m.data[i*m.h.Dim:(i+1)*m.h.Dim])
+}
+
 // Stats reports bytes read through this mapping.
 func (m *Mapped) Stats() Stats { return Stats{BytesRead: m.bytesRead.Load()} }
 

@@ -2,6 +2,7 @@ package embstore
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -116,6 +117,9 @@ func parseCapacity(s string) (rows int, bytes int64, err error) {
 	}
 	if mult == 0 {
 		return int(v), 0, nil
+	}
+	if v > math.MaxInt64/mult {
+		return 0, 0, fmt.Errorf("embstore: cache capacity %q overflows a 64-bit byte count", s)
 	}
 	return 0, v * mult, nil
 }

@@ -39,10 +39,15 @@ func (s *Synth) Dim() int { return s.dim }
 
 // Row computes local row i into a fresh slice (callers own it).
 func (s *Synth) Row(i int) []float32 {
-	s.bytesRead.Add(uint64(s.dim) * 4)
 	row := make([]float32, s.dim)
-	FillRow(row, s.seed, s.table, s.lo+i)
+	s.RowInto(row, i)
 	return row
+}
+
+// RowInto computes local row i into dst.
+func (s *Synth) RowInto(dst []float32, i int) {
+	s.bytesRead.Add(uint64(s.dim) * 4)
+	FillRow(dst[:s.dim], s.seed, s.table, s.lo+i)
 }
 
 // Stats reports bytes synthesized.

@@ -34,12 +34,13 @@ func (p Pooling) String() string {
 
 // RowStore is the read surface of a pluggable embedding-row backend (the
 // internal/embstore stores satisfy it structurally; nn stays free of that
-// dependency). Implementations must support concurrent Row calls; returned
-// slices are read-only for the caller.
+// dependency). Implementations must support concurrent RowInto calls, each
+// copying row i into dst[:Dim()]: the lookup paths own every buffer a row
+// lands in, so a backend never lends out its memory.
 type RowStore interface {
 	Rows() int
 	Dim() int
-	Row(i int) []float32
+	RowInto(dst []float32, i int)
 }
 
 // IndexError reports a sparse index outside its table's row range. Lookup
@@ -67,7 +68,7 @@ func (e *IndexError) Error() string {
 //
 // Exactly one of Weights and Store is non-nil. The Weights path is the
 // historical hot path and is preserved verbatim (including its
-// memory-level-parallel pooling); the Store path gathers through the
+// memory-level-parallel pooling); the Store path copies rows out through the
 // interface, serially per item, with bit-identical accumulation order.
 type EmbeddingTable struct {
 	Weights *tensor.Tensor // [rows x dim], dense in-memory backend
@@ -121,13 +122,14 @@ func (e *EmbeddingTable) mustIndex(idx int) {
 	}
 }
 
-// row returns row idx from whichever backend is active. Callers have
-// already bounds-checked idx via mustIndex.
-func (e *EmbeddingTable) row(idx int) []float32 {
+// rowInto copies row idx from whichever backend is active into dst.
+// Callers have already bounds-checked idx via mustIndex.
+func (e *EmbeddingTable) rowInto(dst []float32, idx int) {
 	if e.Weights != nil {
-		return e.Weights.Row(idx)
+		copy(dst, e.Weights.Row(idx))
+		return
 	}
-	return e.Store.Row(idx)
+	e.Store.RowInto(dst, idx)
 }
 
 // Lookup gathers the rows at the given indices into a [len(indices) x dim]
@@ -141,16 +143,9 @@ func (e *EmbeddingTable) Lookup(indices []int) *tensor.Tensor {
 // [len(indices) x dim] tensor allocated from ar (heap when ar is nil).
 func (e *EmbeddingTable) LookupInto(ar *tensor.Arena, indices []int) *tensor.Tensor {
 	out := allocUninit(ar, len(indices), e.Dim()) // every row is copied below
-	if w := e.Weights; w != nil {
-		for i, idx := range indices {
-			e.mustIndex(idx)
-			copy(out.Row(i), w.Row(idx))
-		}
-		return out
-	}
 	for i, idx := range indices {
 		e.mustIndex(idx)
-		copy(out.Row(i), e.Store.Row(idx))
+		e.rowInto(out.Row(i), idx)
 	}
 	return out
 }
@@ -198,17 +193,20 @@ func (b *EmbeddingBag) ForwardInto(ar *tensor.Arena, indices [][]int) *tensor.Te
 		out := alloc(ar, len(indices), dim)
 		w := b.Table.Weights
 		if w == nil {
-			// Store-backed gather: rows come through the RowStore interface
-			// (mmap page faults, cache probes, on-demand synthesis), pooled
-			// serially per item in list order — the same element-wise
-			// accumulation order as the dense path below, so results are
-			// bit-identical for equal row content.
+			// Store-backed gather: rows are copied through the RowStore
+			// interface (mmap page faults, cache probes, on-demand synthesis)
+			// into one dim-wide scratch row and pooled serially per item in
+			// list order — the same element-wise accumulation order as the
+			// dense path below, so results are bit-identical for equal row
+			// content.
 			st := b.Table.Store
+			buf := allocUninit(ar, 1, dim).Data
 			for i, idxs := range indices {
 				row := out.Row(i)
 				for _, idx := range idxs {
 					b.Table.mustIndex(idx)
-					tensor.AddTo(row, st.Row(idx)[:len(row)])
+					st.RowInto(buf, idx)
+					tensor.AddTo(row, buf)
 				}
 			}
 			return out
@@ -265,7 +263,7 @@ func (b *EmbeddingBag) ForwardInto(ar *tensor.Arena, indices [][]int) *tensor.Te
 			row := out.Row(i)
 			for k, idx := range idxs {
 				b.Table.mustIndex(idx)
-				copy(row[k*dim:(k+1)*dim], b.Table.row(idx))
+				b.Table.rowInto(row[k*dim:(k+1)*dim], idx)
 			}
 		}
 		return out

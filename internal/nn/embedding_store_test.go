@@ -13,9 +13,9 @@ import (
 // for the internal/embstore backends (which satisfy RowStore structurally).
 type tensorStore struct{ t *tensor.Tensor }
 
-func (s tensorStore) Rows() int           { return s.t.Rows }
-func (s tensorStore) Dim() int            { return s.t.Cols }
-func (s tensorStore) Row(i int) []float32 { return s.t.Row(i) }
+func (s tensorStore) Rows() int                    { return s.t.Rows }
+func (s tensorStore) Dim() int                     { return s.t.Cols }
+func (s tensorStore) RowInto(dst []float32, i int) { copy(dst, s.t.Row(i)) }
 
 // The store-backed gather paths must be bit-identical to the dense Weights
 // paths when both serve the same row content — sum pooling accumulates in
